@@ -147,9 +147,10 @@ BENCHMARK(BM_RollingCallbackWindow)->Arg(64)->Arg(4096);
 
 // The identical rolling-window dispatch churn, run with tracing off (the
 // default single null-check) and with a TraceSink installed (every dispatch
-// records a span and a heap-depth counter into the ring). The items/s ratio
-// of the two is the per-event cost of the observability plane, tracked in
-// BENCH_obs_overhead.json via tools/run_obs_bench.sh.
+// records one span into the ring; the post-dispatch heap depth rides on the
+// span's value). The items/s ratio of the two is the per-event cost of the
+// observability plane, tracked in BENCH_obs_overhead.json via
+// tools/run_obs_bench.sh.
 void dispatchChurn(int total) {
   sim::Simulation sim;
   std::uint64_t fired = 0;
@@ -211,10 +212,11 @@ void BM_DispatchTracingStreamed(benchmark::State& state) {
 BENCHMARK(BM_DispatchTracingStreamed)->Arg(100000);
 
 // Same churn with the binary flight recorder attached instead of the JSON
-// streamer: the ring drains into length-prefixed binary chunks (interned
-// strings, fixed 64-byte records) written to a growing memory buffer. The
-// gap to BM_DispatchTracingStreamed is the serialization saving of the
-// binary container over per-event JSON delivery.
+// streamer at its default watermark: the ring drains into length-prefixed
+// binary chunks (interned strings, delta-encoded v2 records) whose bytes are
+// counted and discarded. The gap to BM_DispatchTracingStreamed is the
+// serialization saving of the binary container over per-event JSON
+// delivery.
 void BM_DispatchTracingBinary(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   obs::TraceSink sink;

@@ -150,6 +150,21 @@ CheckpointFile decodeCheckpoint(const std::string& bytes,
             std::to_string(kFormatVersion) + ")");
   }
   const std::uint32_t count = reader.u32("section count");
+  // Every section takes at least a name length, a one-byte name, a payload
+  // length and a checksum, and the file checksum follows them: a count the
+  // remaining bytes cannot hold is rejected before it sizes an allocation.
+  constexpr std::size_t kMinSectionBytes = 4 + 1 + 8 + 8;
+  const std::size_t room =
+      reader.remaining() < 8 ? 0 : (reader.remaining() - 8) / kMinSectionBytes;
+  if (count > room) {
+    throw CheckpointError(
+        ErrorKind::Truncated,
+        origin + ": truncated checkpoint: section count " +
+            std::to_string(count) + " needs at least " +
+            std::to_string(std::uint64_t{count} * kMinSectionBytes + 8) +
+            " byte(s) after offset " + std::to_string(reader.offset()) +
+            ", only " + std::to_string(reader.remaining()) + " left");
+  }
   CheckpointFile file;
   file.sections.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

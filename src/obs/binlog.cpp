@@ -6,8 +6,10 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define IOBTS_RESTRICT __restrict__
+#define IOBTS_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
 #define IOBTS_RESTRICT
+#define IOBTS_ALWAYS_INLINE inline
 #endif
 
 // GCC needs the vectorizer cranked up for the checksum's lane scan to turn
@@ -253,7 +255,32 @@ std::uint64_t readPaddedWord(const char* data, std::size_t n) noexcept {
 
 // --- v2 delta record encoding ----------------------------------------------
 
-char* putVarint(char* dst, std::uint64_t v) noexcept {
+/// The low 56 bits of `v` as eight 7-bit groups, one per byte, in LEB128
+/// order with the continuation bits clear.
+std::uint64_t spreadSeptets(std::uint64_t v) noexcept {
+  v = (v & 0x000000000FFFFFFFULL) | ((v & 0x00FFFFFFF0000000ULL) << 4);
+  v = (v & 0x00003FFF00003FFFULL) | ((v & 0x0FFFC0000FFFC000ULL) << 2);
+  return (v & 0x007F007F007F007FULL) | ((v & 0x3F803F803F803F80ULL) << 1);
+}
+
+IOBTS_ALWAYS_INLINE char* putVarint(char* dst, std::uint64_t v) noexcept {
+  if constexpr (kHostLittleEndian) {
+    // Values of 2^56 and up -- most dur/value bit-pattern deltas, since
+    // consecutive records rarely share a span kind -- take 9 or 10 bytes:
+    // write the first eight as one word instead of looping byte by byte.
+    if (v >= (std::uint64_t{1} << 56)) {
+      const std::uint64_t word = spreadSeptets(v) | 0x8080808080808080ULL;
+      std::memcpy(dst, &word, 8);
+      const std::uint64_t rest = v >> 56;
+      if (rest < 0x80) {
+        dst[8] = static_cast<char>(rest);
+        return dst + 9;
+      }
+      dst[8] = static_cast<char>(rest | 0x80U);
+      dst[9] = static_cast<char>(rest >> 7);
+      return dst + 10;
+    }
+  }
   while (v >= 0x80) {
     *dst++ = static_cast<char>(v | 0x80U);
     v >>= 7;
@@ -288,6 +315,10 @@ void coverEvent(detail::BinlogDeltaState& st, double ts, double dur) noexcept {
   }
   ++st.count;
 }
+
+/// Smallest v2 record: flags byte plus one-byte pid, tid, category id,
+/// name id and ts delta.
+constexpr std::size_t kMinV2RecordBytes = 6;
 
 // v2 record flag bits (bits 0-2 are the phase).
 constexpr unsigned kFlagDur = 0x08;
@@ -755,6 +786,15 @@ class ContainerDecoder {
     checkShard(shard, "events chunk");
     entry.shard = shard;
     const std::uint32_t count = p.u32("event count");
+    // A count the payload cannot hold never reaches the reserve below.
+    if (count > p.remaining() / kMinV2RecordBytes) {
+      throw BinlogError(
+          BinlogErrorKind::Malformed,
+          origin_ + ": events chunk declares " + std::to_string(count) +
+              " event(s) but its " + std::to_string(p.remaining()) +
+              " remaining byte(s) hold at most " +
+              std::to_string(p.remaining() / kMinV2RecordBytes));
+    }
     auto& state = shards_[shard];
     detail::BinlogDeltaState d;
     events_.reserve(events_.size() + count);

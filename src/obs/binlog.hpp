@@ -340,7 +340,12 @@ struct BinlogDeltaState {
 struct BinaryTraceWriterConfig {
   /// Drain-hook watermarks, identical semantics to TraceStreamerConfig: a
   /// drain fires when ring occupancy reaches this fraction of capacity...
-  double occupancy_watermark = 0.5;
+  /// The default drains the 65,536-event default ring every 512 events:
+  /// since an emptied ring restarts at slot 0, recording then stays inside
+  /// a 36 KiB window instead of striding through the whole 4.7 MB ring.
+  /// The cadence never changes the file: chunk boundaries depend only on
+  /// the encoded stream.
+  double occupancy_watermark = 1.0 / 128;
   /// ...or when an event lands this many virtual seconds past the previous
   /// drain (0 = occupancy only).
   sim::Time time_watermark = 0.0;

@@ -207,7 +207,10 @@ std::size_t TraceSink::drainInto(std::vector<TraceEvent>& out) {
                      drain_interval_;
     drain_ts_armed_ = true;
   }
-  count_ = 0;  // head_ keeps advancing; the ring is simply empty again
+  // An empty ring restarts at slot 0, so a drain hook that keeps the
+  // occupancy low keeps recording inside the first few cache lines.
+  count_ = 0;
+  head_ = 0;
   streamed_ += n;
   return n;
 }
@@ -231,6 +234,7 @@ std::size_t TraceSink::drainSegments(DrainSegmentFn fn, void* ctx) {
     drain_ts_armed_ = true;
   }
   count_ = 0;
+  head_ = 0;
   streamed_ += n;
   return n;
 }

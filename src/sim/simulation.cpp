@@ -111,13 +111,12 @@ bool Simulation::step() {
   if (sink != nullptr) {
     // Dispatch spans have zero *virtual* duration (the clock does not
     // advance inside synchronous code); real cost, when wall capture is on,
-    // rides along in wall_ns, and the post-dispatch heap depth in value.
+    // rides along in wall_ns, and the post-dispatch heap depth in value --
+    // the only place the heap depth is recorded, one event per dispatch.
     sink->complete("sim", is_resume ? "dispatch.resume" : "dispatch.callback",
                    obs::track::kKernel, 0, ev.t, 0.0,
                    static_cast<double>(heap_.size()),
                    sink->wallNowNs() - wall_start);
-    sink->counter("sim", "heap_depth", obs::track::kKernel, 0, ev.t,
-                  static_cast<double>(heap_.size()));
   }
   reapFinished();
   return true;

@@ -2,9 +2,10 @@
 // scenarios/invalid/: every file under checkpoints/invalid/ must be
 // rejected by the full restore pipeline (read -> decode -> snapshot ->
 // replay-verify) with exactly the CheckpointError kind its filename stem
-// names, and every diagnostic must carry the file path plus a
-// defect-specific message. tools/ckpt_corpus.cpp regenerates the corpus;
-// the stem <-> kind contract keeps the two in lockstep.
+// names (up to an optional '-' qualifier), and every diagnostic must carry
+// the file path plus a defect-specific message. tools/ckpt_corpus.cpp
+// regenerates the corpus; the stem <-> kind contract keeps the two in
+// lockstep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,14 +38,19 @@ std::vector<fs::path> listCorpus() {
 
 TEST(CkptCorpus, EveryInvalidCheckpointIsRejectedWithItsNamedKind) {
   const std::vector<fs::path> files = listCorpus();
-  // One file per reportable defect kind (Io cannot be a checked-in file).
-  ASSERT_GE(files.size(), 9u);
+  // At least one file per reportable defect kind (Io cannot be a
+  // checked-in file), plus the qualified variants.
+  ASSERT_GE(files.size(), 10u);
 
   std::set<std::string> kinds_seen;
   std::map<std::string, std::string> diagnostics;
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.string());
-    const std::string expected_kind = file.stem().string();
+    // The stem up to the first '-' is the expected kind; the rest is a
+    // qualifier (`truncated-section_count.ckpt` = an inflated section
+    // count rather than a cut file).
+    std::string expected_kind = file.stem().string();
+    expected_kind = expected_kind.substr(0, expected_kind.find('-'));
     try {
       // The full pipeline a real --resume would run.
       restoreScenarioCheckpoint(file.string());
@@ -86,6 +92,11 @@ TEST(CkptCorpus, DefectSpecificDetailInDiagnostics) {
     return {};
   };
   EXPECT_NE(messageOf("truncated.ckpt").find("offset"), std::string::npos);
+  // An inflated count is bounded by the bytes that follow it, not handed
+  // to an allocation.
+  EXPECT_NE(messageOf("truncated-section_count.ckpt")
+                .find("section count 4294967295"),
+            std::string::npos);
   EXPECT_NE(messageOf("section_checksum.ckpt").find("stored 0x"),
             std::string::npos);
   EXPECT_NE(messageOf("file_checksum.ckpt").find("computed 0x"),

@@ -320,7 +320,7 @@ TEST(BinlogCorpus, EveryInvalidTraceIsRejectedWithItsNamedKind) {
   const std::vector<fs::path> files = listCorpus();
   // At least one file per reportable defect kind (Io cannot be a checked-in
   // file), plus the -v1 back-compat variants and the bad_index flavors.
-  ASSERT_GE(files.size(), 16u);
+  ASSERT_GE(files.size(), 17u);
 
   std::set<std::string> kinds_seen;
   std::map<std::string, std::string> diagnostics;
@@ -378,6 +378,8 @@ TEST(BinlogCorpus, DefectSpecificDetailInDiagnostics) {
   // The v2 record stream fails structurally (a varint field cut short); the
   // v1 fixed-width stream fails on record arithmetic.
   EXPECT_NE(messageOf("malformed.bin").find("shard id"), std::string::npos);
+  EXPECT_NE(messageOf("malformed-event_count.bin").find("hold at most"),
+            std::string::npos);
   EXPECT_NE(messageOf("malformed-v1.bin").find("not a whole number"),
             std::string::npos);
   EXPECT_NE(messageOf("missing_footer.bin").find("without a footer"),

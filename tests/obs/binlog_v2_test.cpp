@@ -4,10 +4,15 @@
 // skipping actually happened), shard-tagged recording through
 // ShardedBinaryWriter merges canonically including degenerate zero-event
 // shards, and the tail reader buffers a mid-chunk cut while still
-// snapshotting every complete chunk before it.
+// snapshotting every complete chunk before it. The container bytes do not
+// depend on the ring size or drain cadence, and an inflated event count is
+// a typed error on every read path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -204,6 +209,98 @@ TEST(BinlogV2, TailReaderBuffersAMidChunkCutAndSnapshotsThePrefix) {
   EXPECT_EQ(done.events.size(), full.events.size());
   EXPECT_EQ(done.totals.recorded, full.totals.recorded);
   EXPECT_EQ(done.strings, full.strings);
+}
+
+/// A small dispatch-shaped stream: pace spans, journey steps and dispatch
+/// spans alternating as in a recorded run, enough to seal many chunks
+/// under a 1 KiB threshold.
+void recordMixed(TraceSink& sink) {
+  sink.setProcessName(track::kAdio, "adio");
+  for (int i = 0; i < 3000; ++i) {
+    const double ts = 0.25 * (i / 3);
+    const auto tid = static_cast<std::uint32_t>(i % 16);
+    switch (i % 3) {
+      case 0:
+        sink.complete("adio", "adio.pace", track::kAdio, tid, ts, 1.5);
+        break;
+      case 1:
+        sink.flowStep("journey", "io", track::kAdio, tid, ts,
+                      (std::uint64_t{tid} << 32) | 25u);
+        break;
+      default:
+        sink.complete("sim", "dispatch.resume", track::kKernel, 0, ts, 0.0,
+                      2048.0 - i);
+        break;
+    }
+  }
+}
+
+TEST(BinlogV2, BytesDoNotDependOnRingCapacityOrDrainCadence) {
+  // Chunk boundaries are a pure function of the encoded stream: the same
+  // events recorded through any ring size, drained at the old (half-full)
+  // or the default watermark, give one byte-identical container.
+  std::string reference;
+  for (const std::size_t capacity : {std::size_t{8}, std::size_t{4096},
+                                     std::size_t{65536}}) {
+    for (const double watermark :
+         {0.5, BinaryTraceWriterConfig{}.occupancy_watermark}) {
+      SCOPED_TRACE(std::to_string(capacity) + " events, watermark " +
+                   std::to_string(watermark));
+      TraceSinkConfig sink_config;
+      sink_config.capacity = capacity;
+      TraceSink sink(sink_config);
+      BinaryTraceWriterConfig config;
+      config.occupancy_watermark = watermark;
+      config.flush_bytes = 1024;
+      std::string bytes;
+      BinaryTraceWriter writer(sink, &bytes, config);
+      recordMixed(sink);
+      ASSERT_TRUE(writer.close());
+      EXPECT_EQ(sink.dropped(), 0u);
+      if (capacity == 8) EXPECT_GT(writer.batches(), 100u);
+      if (reference.empty()) {
+        reference = bytes;
+        EXPECT_GT(decodeBinaryTrace(bytes, "<mixed>").index.size(), 10u);
+      } else {
+        EXPECT_TRUE(bytes == reference);
+      }
+    }
+  }
+}
+
+TEST(BinlogV2, InflatedEventCountIsMalformedOnEveryReadPath) {
+  // An events chunk declaring 0xffffffff records (checksums intact) must
+  // end in a typed error, never in an allocation sized by the count.
+  const std::string path =
+      std::string(IOBTS_TRACE_DIR) + "/invalid/malformed-event_count.bin";
+  const auto expectMalformed = [](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "inflated event count decoded cleanly";
+    } catch (const BinlogError& e) {
+      EXPECT_EQ(e.kind(), BinlogErrorKind::Malformed) << e.what();
+      EXPECT_NE(std::string(e.what()).find("declares 4294967295 event"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expectMalformed([&] { readBinaryTrace(path); });
+  expectMalformed([&] { readBinaryTraceWindow(path, TraceWindow{}); });
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(bytes.empty());
+  for (const std::size_t slice : {std::size_t{5}, bytes.size()}) {
+    expectMalformed([&] {
+      BinlogTailReader reader(path);
+      for (std::size_t pos = 0; pos < bytes.size(); pos += slice) {
+        reader.feed(bytes.data() + pos,
+                    std::min(slice, bytes.size() - pos));
+      }
+    });
+  }
 }
 
 }  // namespace

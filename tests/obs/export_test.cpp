@@ -14,6 +14,7 @@
 #include "obs/trace.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
+#include "tmio/tracer.hpp"
 #include "util/units.hpp"
 
 namespace iobts {
@@ -46,7 +47,10 @@ struct TracedRun {
     pfs::FileStore store;
     mpisim::WorldConfig world_cfg;
     world_cfg.ranks = 2;
-    mpisim::World world(sim, link, store, world_cfg);
+    // The tracer's live B_req series supplies the counter events.
+    tmio::Tracer tracer(tmio::TracerConfig{});
+    mpisim::World world(sim, link, store, world_cfg, &tracer);
+    tracer.attach(world);
     world.launch(smallApp);
     sim.run();
 
@@ -141,7 +145,7 @@ TEST(TraceExport, ChromeTraceDocumentIsWellFormed) {
   }
   EXPECT_GT(metadata, 0u);  // link/stream track names registered at setup
   EXPECT_GT(spans, 0u);
-  EXPECT_GT(counters, 0u);  // sim heap-depth counter
+  EXPECT_GT(counters, 0u);  // tmio B_req series
   EXPECT_GT(flows, 0u);     // request journeys
 
   // The ring accounting is embedded for the summarizer.

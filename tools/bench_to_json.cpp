@@ -6,6 +6,7 @@
 //                 [--bench <name>=<google-benchmark-json-report>]...
 //                 [--wall <name>=<seconds>]...
 //                 [--parallel <micro_parallel-json-report>]
+//                 [--host <description>]
 //
 // Each --bench argument points at a report produced with
 // `--benchmark_format=json`; the relevant per-benchmark numbers (real time,
@@ -13,7 +14,10 @@
 // wall-clock number (the fig10/fig13 harness runs). The output file keeps one
 // object per label, so running with --label before and later --label after
 // yields the before/after pair; when both are present a derived "speedup"
-// section is recomputed. tools/run_hotpath_bench.sh drives this binary.
+// section is recomputed. --host names the machine the label's numbers come
+// from (stored as the label's "host" entry), so a reader can tell numbers
+// from different hosts apart. tools/run_hotpath_bench.sh and
+// tools/run_obs_bench.sh drive this binary.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -275,6 +279,7 @@ int main(int argc, char** argv) {
   std::string schema = "iobts-bench-hotpath-v1";
   std::string mode = "quick";
   std::string parallel_report;
+  std::string host;
   std::vector<std::pair<std::string, std::string>> bench_args;
   std::vector<std::pair<std::string, double>> wall_args;
 
@@ -294,6 +299,8 @@ int main(int argc, char** argv) {
       mode = next();
     } else if (arg == "--parallel") {
       parallel_report = next();
+    } else if (arg == "--host") {
+      host = next();
     } else if (arg == "--bench" || arg == "--wall") {
       const std::string value = next();
       const auto eq = value.find('=');
@@ -322,7 +329,8 @@ int main(int argc, char** argv) {
                  "usage: bench_to_json --out FILE --label LABEL "
                  "[--schema NAME] [--mode quick|full] "
                  "[--bench name=report.json]... "
-                 "[--wall name=seconds]... [--parallel report.json]\n");
+                 "[--wall name=seconds]... [--parallel report.json] "
+                 "[--host DESCRIPTION]\n");
     return 2;
   }
 
@@ -349,6 +357,7 @@ int main(int argc, char** argv) {
     for (const auto& [name, seconds] : wall_args) {
       section[name] = Json(seconds);
     }
+    if (!host.empty()) section["host"] = Json(host);
     const Json format_cmp = binlogFormatComparison(section);
     if (!format_cmp.asObject().empty()) {
       root["binlog_v2_vs_v1"] = format_cmp;

@@ -3,9 +3,11 @@
 //   ckpt_corpus OUTPUT_DIR
 //
 // Builds one valid checkpoint of a small deterministic scenario, then
-// derives one corrupted variant per CheckpointError kind. Each file is
-// named after the errorKindName() the reader must report for it
-// (truncated.ckpt, bad_magic.ckpt, ...); tests/ckpt/corpus_test.cpp sweeps
+// derives at least one corrupted variant per CheckpointError kind. Each
+// file is named after the errorKindName() the reader must report for it
+// (truncated.ckpt, bad_magic.ckpt, ...), optionally followed by a '-'
+// qualifier naming a second defect of the same kind
+// (truncated-section_count.ckpt); tests/ckpt/corpus_test.cpp sweeps
 // the directory and keys its expectations on exactly those stems, so the
 // corpus and the sweep can never drift apart silently. The corpus under
 // checkpoints/invalid/ is a checked-in artifact -- rerun this tool and
@@ -77,6 +79,14 @@ int main(int argc, char** argv) {
 
   // truncated: cut mid-section.
   writeBytes(dir + "/truncated.ckpt", valid.substr(0, valid.size() / 2));
+
+  // truncated-section_count: the u32 section count at offset 12 inflated to
+  // 0xffffffff, far more sections than the bytes that follow can hold.
+  {
+    std::string bytes = valid;
+    for (std::size_t i = 12; i < 16; ++i) bytes[i] = '\xff';
+    writeBytes(dir + "/truncated-section_count.ckpt", bytes);
+  }
 
   // bad_magic: first byte wrong.
   {

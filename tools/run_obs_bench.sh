@@ -15,6 +15,9 @@
 # the traced kernel probe) run first and fail the recording outright on a
 # regression.
 #
+# The label's entry names the host (CPU model, CPU count, compiler) the
+# numbers were taken on.
+#
 # Usage: tools/run_obs_bench.sh <build-dir> [label]     (label default: obs)
 set -euo pipefail
 
@@ -22,6 +25,12 @@ BUILD=${1:?usage: run_obs_bench.sh <build-dir> [label]}
 LABEL=${2:-obs}
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 cd "$ROOT"
+
+CPU=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+[ -n "$CPU" ] || CPU=$(sysctl -n machdep.cpu.brand_string 2>/dev/null || echo unknown)
+COMPILER=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD/CMakeCache.txt" 2>/dev/null)
+COMPILER_VERSION=$("${COMPILER:-c++}" -dumpfullversion 2>/dev/null || echo unknown)
+HOST="$CPU, $(getconf _NPROCESSORS_ONLN) CPUs, $(basename "${COMPILER:-c++}") $COMPILER_VERSION"
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -35,7 +44,7 @@ echo "== micro_hotpath (BM_DispatchTracing*)"
 
 "$BUILD/tools/bench_to_json" \
   --out BENCH_obs_overhead.json --label "$LABEL" \
-  --schema iobts-bench-obs-v2 \
+  --schema iobts-bench-obs-v2 --host "$HOST" \
   --bench micro_hotpath="$TMP/obs.json"
 
 echo "recorded label '$LABEL' into BENCH_obs_overhead.json"

@@ -233,6 +233,17 @@ int main(int argc, char** argv) {
     writeBytes(dir + "/malformed-v1.bin", bytes);
   }
 
+  // malformed-event_count: the events chunk's u32 event count (after the
+  // u32 shard id) inflated to 0xffffffff, checksums repaired -- far more
+  // records than the payload can hold.
+  {
+    std::string bytes = valid_v2;
+    const ChunkRef& events = chunkOfKind(v2_chunks, obs::binchunk::kEvents);
+    patchU32(bytes, events.payload + 4, 0xffffffffU);
+    repair(bytes, events);
+    writeBytes(dir + "/malformed-event_count.bin", bytes);
+  }
+
   // missing_footer: clean EOF after the header, before any footer chunk
   // (what a crash between flushes leaves behind).
   writeBytes(dir + "/missing_footer.bin", headerOnly(obs::kBinlogVersion));
