@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 
 #include "util/check.hpp"
 
@@ -136,6 +137,19 @@ Json MetricsRegistry::toJson() const {
       {"gauges", Json(std::move(gauges))},
       {"histograms", Json(std::move(histograms))},
   });
+}
+
+bool writeMetrics(const MetricsRegistry& registry, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return false;
+  const bool json =
+      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
+  if (json) {
+    out << registry.toJson().pretty() << '\n';
+  } else {
+    out << registry.dumpText();
+  }
+  return static_cast<bool>(out);
 }
 
 }  // namespace iobts::obs

@@ -80,4 +80,8 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
+/// Write `registry` to `path`: pretty JSON for ".json" paths, the text
+/// table otherwise. Returns false on I/O failure.
+bool writeMetrics(const MetricsRegistry& registry, const std::string& path);
+
 }  // namespace iobts::obs

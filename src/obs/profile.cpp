@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/export.hpp"
+#include "util/json.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -42,11 +42,101 @@ bool startsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+/// Journey ids are raw uint64 values (rank/request bit-packs) that can
+/// exceed 2^53; render them as hex strings so JSON doubles never round
+/// them. Chrome's flow-event "id" field accepts strings.
 std::string journeyIdString(std::uint64_t journey) {
   char buf[2 + 16 + 1];
   std::snprintf(buf, sizeof(buf), "0x%llx",
                 static_cast<unsigned long long>(journey));
   return std::string(buf);
+}
+
+constexpr double kMicrosPerSecond = 1e6;
+
+/// One event as its Chrome trace-event object ("JSON Array Format", which
+/// chrome://tracing and Perfetto load), virtual time in microseconds:
+///
+///   Phase::Complete  -> ph "X" (ts + dur)
+///   Phase::Instant   -> ph "i" (thread-scoped)
+///   Phase::Counter   -> ph "C"
+///   Phase::FlowStart -> ph "s" (journey id in "id", hex string)
+///   Phase::FlowStep  -> ph "t"
+///   Phase::FlowEnd   -> ph "f" with "bp":"e" (bind to enclosing slice)
+///
+/// Serialization goes through util Json (std::map-backed objects), so key
+/// order -- and with wall capture off, the whole byte stream -- is
+/// deterministic.
+Json traceEventJson(const TraceEvent& ev) {
+  JsonObject o;
+  o["name"] = Json(ev.name);
+  o["cat"] = Json(ev.category);
+  o["pid"] = Json(ev.pid);
+  o["tid"] = Json(ev.tid);
+  o["ts"] = Json(ev.ts * kMicrosPerSecond);
+  switch (ev.phase) {
+    case Phase::Complete: {
+      o["ph"] = Json("X");
+      o["dur"] = Json(ev.dur * kMicrosPerSecond);
+      JsonObject args;
+      args["value"] = Json(ev.value);
+      if (ev.wall_ns != 0) args["wall_ns"] = Json(ev.wall_ns);
+      o["args"] = Json(std::move(args));
+      break;
+    }
+    case Phase::Instant: {
+      o["ph"] = Json("i");
+      o["s"] = Json("t");  // thread-scoped instant
+      o["args"] = Json(JsonObject{{"value", Json(ev.value)}});
+      break;
+    }
+    case Phase::Counter: {
+      o["ph"] = Json("C");
+      o["args"] = Json(JsonObject{{"value", Json(ev.value)}});
+      break;
+    }
+    case Phase::FlowStart: {
+      o["ph"] = Json("s");
+      o["id"] = Json(journeyIdString(ev.flow));
+      break;
+    }
+    case Phase::FlowStep: {
+      o["ph"] = Json("t");
+      o["id"] = Json(journeyIdString(ev.flow));
+      break;
+    }
+    case Phase::FlowEnd: {
+      o["ph"] = Json("f");
+      o["bp"] = Json("e");  // bind to the enclosing slice, not the next one
+      o["id"] = Json(journeyIdString(ev.flow));
+      break;
+    }
+  }
+  return Json(std::move(o));
+}
+
+/// The ph "M" metadata records naming the trace's process/thread tracks,
+/// in deterministic (sorted) order.
+JsonArray traceMetadataEvents(const BinaryTrace& trace) {
+  JsonArray events;
+  for (const auto& [pid, name] : trace.process_names) {
+    JsonObject o;
+    o["name"] = Json("process_name");
+    o["ph"] = Json("M");
+    o["pid"] = Json(pid);
+    o["args"] = Json(JsonObject{{"name", Json(name)}});
+    events.push_back(Json(std::move(o)));
+  }
+  for (const auto& [key, name] : trace.thread_names) {
+    JsonObject o;
+    o["name"] = Json("thread_name");
+    o["ph"] = Json("M");
+    o["pid"] = Json(key.first);
+    o["tid"] = Json(key.second);
+    o["args"] = Json(JsonObject{{"name", Json(name)}});
+    events.push_back(Json(std::move(o)));
+  }
+  return events;
 }
 
 }  // namespace
@@ -403,9 +493,9 @@ std::string breqTableCsv(const BinaryTrace& trace) {
 }
 
 std::string chromeJsonFromBinaryTrace(const BinaryTrace& trace) {
-  // Mirror TraceStreamer's file-mode byte stream exactly: header, events
-  // separated by ",\n" as they drained, metadata records at close, footer
-  // with the sink totals (preserved in the binlog footer).
+  // Events in recording order separated by ",\n", then the metadata
+  // records, then a footer with the sink totals (preserved in the binlog
+  // footer).
   std::string out = "{\"traceEvents\":[\n";
   bool any_event_written = false;
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
@@ -413,8 +503,7 @@ std::string chromeJsonFromBinaryTrace(const BinaryTrace& trace) {
     out += traceEventJson(trace.event(i)).dump();
     any_event_written = true;
   }
-  for (const Json& meta :
-       traceMetadataEvents(trace.process_names, trace.thread_names)) {
+  for (const Json& meta : traceMetadataEvents(trace)) {
     if (any_event_written) out += ",\n";
     out += meta.dump();
     any_event_written = true;
@@ -423,7 +512,7 @@ std::string chromeJsonFromBinaryTrace(const BinaryTrace& trace) {
       {"recorded", Json(trace.totals.recorded)},
       {"dropped", Json(trace.totals.dropped)},
       {"streamed", Json(trace.totals.streamed)},
-      {"clock", Json(kTraceClockNote)},
+      {"clock", Json("virtual (1 us trace time = 1 us simulated)")},
   };
   out += "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":";
   out += Json(other).dump();

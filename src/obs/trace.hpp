@@ -75,12 +75,9 @@ inline constexpr std::uint32_t kTmio = 7;      // tmio tracer B_req (tid=rank)
 /// One recorded event. POD; `category` and `name` must point at storage
 /// that outlives the sink (instrumentation sites use string literals).
 struct TraceEvent {
-  // Field order is deliberate: everything from `ts` through `flow` -- with
-  // the padding after `phase` made explicit and always zero -- is one
-  // deterministic 56-byte run laid out exactly like words 0..6 of a binlog
-  // event record, so BinaryTraceWriter serializes an event as a single
-  // bulk copy plus the interned-ids word. The string pointers sit last,
-  // outside the copyable run, because they are what the binlog replaces.
+  // The padding after `phase` is explicit and always zero, so every byte
+  // of an event is deterministic. The string pointers sit last; the binlog
+  // replaces them with interned ids.
   sim::Time ts = 0.0;    // virtual seconds (rtio: wall seconds since epoch)
   sim::Time dur = 0.0;   // virtual duration; Complete events only
   std::uint32_t pid = 0;
@@ -175,7 +172,7 @@ class TraceSink {
   std::uint64_t recorded() const;
   /// Events overwritten after the ring wrapped.
   std::uint64_t dropped() const;
-  /// Events handed to drainInto() (streaming export; see TraceStreamer).
+  /// Events drained out of the ring (drainInto() / drainSegments()).
   std::uint64_t streamed() const;
 
   /// Copy of the retained events, oldest first.
@@ -184,7 +181,7 @@ class TraceSink {
   /// Drop all retained events (drop/record counters keep counting).
   void clear();
 
-  // --- Streaming drain (see obs/stream.hpp) -------------------------------
+  // --- Streaming drain (see obs/binlog.hpp) -------------------------------
 
   /// Append all retained events to `out` oldest first and mark them
   /// streamed (they leave the ring without counting as drops). Returns the
@@ -207,7 +204,7 @@ class TraceSink {
   /// ceil(occupancy_watermark * capacity) events, or -- if `time_watermark`
   /// is > 0 -- when the recorded event's virtual timestamp has advanced at
   /// least `time_watermark` seconds past the end of the previous drain.
-  /// The hook typically calls drainInto(); it must tolerate reentrant
+  /// The hook typically calls drainSegments(); it must tolerate reentrant
   /// recording only if its own sink does. One hook at a time.
   void setDrainHook(void (*hook)(void*), void* ctx, double occupancy_watermark,
                     sim::Time time_watermark);

@@ -1,10 +1,9 @@
 // Binary flight-recorder container tests: exact field round-trips through
-// the packed 64-byte record, content-keyed string interning, byte-identity
+// the delta-encoded record, content-keyed string interning, byte-identity
 // across identical runs and across file/memory modes, chunk sealing under
 // tiny flush thresholds, strict-reader rejection of every corruption kind
-// (in-memory mutations plus the checked-in traces/invalid/ corpus), and
-// the lossless Chrome conversion being byte-identical to what a live
-// TraceStreamer in file mode writes for the same run.
+// (in-memory mutations plus the checked-in traces/invalid/ corpus), the
+// valid_v2.bin pin, and the Chrome conversion pinned byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 
 #include "obs/binlog.hpp"
 #include "obs/profile.hpp"
-#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 
 namespace iobts::obs {
@@ -171,38 +169,39 @@ TEST(Binlog, TinyRingAndFlushThresholdSealManyChunksThatStillRoundTrip) {
   }
 }
 
-TEST(Binlog, ChromeConversionIsByteIdenticalToLiveStreamerFile) {
-  // The same run recorded twice through the same tiny ring: once with the
-  // live JSON streamer, once with the binary writer. Converting the binary
-  // trace offline must reproduce the streamer's file byte-for-byte --
-  // including drain-batch boundaries (",\n" joints), metadata-at-close
-  // order, and the otherData totals.
-  const std::string json_path = ::testing::TempDir() + "/binlog_live.json";
+TEST(Binlog, ChromeConversionMatchesThePinnedDocument) {
+  // The run recorded through a tiny ring (several watermark drains over 7
+  // events) converts to exactly this document: events in recording order,
+  // metadata records after them, the otherData totals from the footer.
+  // The bytes are those the retired live JSON streamer wrote for the same
+  // run, so --to-chrome output stayed identical across its removal.
+  static constexpr const char* kPinned = R"json({"traceEvents":[
+{"args":{"value":4096,"wall_ns":1234},"cat":"pfs","dur":250000,"name":"transfer.write","ph":"X","pid":3,"tid":0,"ts":500000},
+{"args":{"value":8192},"cat":"pfs","dur":500000,"name":"transfer.read","ph":"X","pid":3,"tid":1,"ts":1000000},
+{"args":{"value":3},"cat":"adio","name":"adio.retry","ph":"i","pid":4,"s":"t","tid":0,"ts":1250000},
+{"args":{"value":1000000000},"cat":"tmio","name":"tmio.app.breq.write","ph":"C","pid":7,"tid":1,"ts":1500000},
+{"cat":"journey","id":"0xdeadbeefcafe0042","name":"io","ph":"s","pid":4,"tid":0,"ts":500000},
+{"cat":"journey","id":"0xdeadbeefcafe0042","name":"io","ph":"t","pid":3,"tid":0,"ts":600000},
+{"bp":"e","cat":"journey","id":"0xdeadbeefcafe0042","name":"io","ph":"f","pid":3,"tid":0,"ts":750000},
+{"args":{"name":"pfs streams"},"name":"process_name","ph":"M","pid":3},
+{"args":{"name":"adio"},"name":"process_name","ph":"M","pid":4},
+{"args":{"name":"stream 0"},"name":"thread_name","ph":"M","pid":3,"tid":0}
+],
+"displayTimeUnit":"ms",
+"otherData":{"clock":"virtual (1 us trace time = 1 us simulated)","dropped":0,"recorded":7,"streamed":7}}
+)json";
   TraceSinkConfig sink_cfg;
-  sink_cfg.capacity = 4;  // several watermark drains over 7 events
-  {
-    TraceSink sink(sink_cfg);
-    TraceStreamer streamer(sink, json_path);
-    recordMixedEvents(sink);
-    ASSERT_TRUE(streamer.close());
-  }
-  std::string live;
-  {
-    std::ifstream in(json_path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    live = ss.str();
-  }
-
+  sink_cfg.capacity = 4;
   TraceSink sink(sink_cfg);
   std::string bytes;
   {
     BinaryTraceWriter writer(sink, &bytes);
     recordMixedEvents(sink);
     ASSERT_TRUE(writer.close());
+    EXPECT_GT(writer.batches(), 1u);
   }
   const BinaryTrace trace = decodeBinaryTrace(bytes, "<memory>");
-  EXPECT_EQ(chromeJsonFromBinaryTrace(trace), live);
+  EXPECT_EQ(chromeJsonFromBinaryTrace(trace), kPinned);
 }
 
 // --- Corruption: in-memory mutations, one per reader defect kind ------------
@@ -319,16 +318,17 @@ std::vector<fs::path> listCorpus() {
 TEST(BinlogCorpus, EveryInvalidTraceIsRejectedWithItsNamedKind) {
   const std::vector<fs::path> files = listCorpus();
   // At least one file per reportable defect kind (Io cannot be a checked-in
-  // file), plus the -v1 back-compat variants and the bad_index flavors.
-  ASSERT_GE(files.size(), 17u);
+  // file), plus the bad_index and malformed flavors and a real version-1
+  // recording.
+  ASSERT_GE(files.size(), 13u);
 
   std::set<std::string> kinds_seen;
   std::map<std::string, std::string> diagnostics;
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.string());
     // The stem up to the first '-' is the expected kind; the rest is a
-    // qualifier (`truncated-v1.bin` = v1 container, `bad_index-range.bin` =
-    // a specific bad_index defect).
+    // qualifier (`bad_version-v1.bin` = a format-version-1 recording,
+    // `bad_index-range.bin` = a specific bad_index defect).
     std::string expected_kind = file.stem().string();
     expected_kind = expected_kind.substr(0, expected_kind.find('-'));
     try {
@@ -373,14 +373,13 @@ TEST(BinlogCorpus, DefectSpecificDetailInDiagnostics) {
             std::string::npos);
   EXPECT_NE(messageOf("bad_version.bin").find("version 99"),
             std::string::npos);
+  EXPECT_NE(messageOf("bad_version-v1.bin").find("version 1 "),
+            std::string::npos);
   EXPECT_NE(messageOf("bad_string_ref.bin").find("string id 7"),
             std::string::npos);
-  // The v2 record stream fails structurally (a varint field cut short); the
-  // v1 fixed-width stream fails on record arithmetic.
+  // The record stream fails structurally (a chunk header cut short).
   EXPECT_NE(messageOf("malformed.bin").find("shard id"), std::string::npos);
   EXPECT_NE(messageOf("malformed-event_count.bin").find("hold at most"),
-            std::string::npos);
-  EXPECT_NE(messageOf("malformed-v1.bin").find("not a whole number"),
             std::string::npos);
   EXPECT_NE(messageOf("missing_footer.bin").find("without a footer"),
             std::string::npos);
@@ -392,33 +391,60 @@ TEST(BinlogCorpus, DefectSpecificDetailInDiagnostics) {
             std::string::npos);
 }
 
-TEST(BinlogCorpus, ValidPinsOfBothVersionsDecodeLosslessly) {
-  // traces/valid_v1.bin and valid_v2.bin are checked-in outputs of the
-  // trace_corpus tool: the same five events through each container version.
-  // Future readers must keep decoding both to the same trace.
-  const fs::path dir = IOBTS_TRACE_DIR;
-  const BinaryTrace v1 = readBinaryTrace((dir / "valid_v1.bin").string());
-  const BinaryTrace v2 = readBinaryTrace((dir / "valid_v2.bin").string());
-  ASSERT_EQ(v1.events.size(), 5u);
-  ASSERT_EQ(v2.events.size(), v1.events.size());
-  EXPECT_EQ(v1.strings, v2.strings);
-  for (std::size_t i = 0; i < v1.events.size(); ++i) {
-    SCOPED_TRACE(i);
-    const BinEvent& a = v1.events[i];
-    const BinEvent& b = v2.events[i];
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.dur, b.dur);
-    EXPECT_EQ(a.value, b.value);
-    EXPECT_EQ(a.pid, b.pid);
-    EXPECT_EQ(a.tid, b.tid);
-    EXPECT_EQ(a.phase, b.phase);
-    EXPECT_EQ(a.category, b.category);
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.flow, b.flow);
-    EXPECT_EQ(a.wall_ns, b.wall_ns);
+TEST(BinlogCorpus, ValidPinDecodesLosslesslyAndMatchesTheWriter) {
+  // traces/valid_v2.bin is a checked-in output of the trace_corpus tool:
+  // five events through the writer. The writer must keep producing exactly
+  // these bytes, and the reader must keep decoding every field.
+  const std::string path = std::string(IOBTS_TRACE_DIR) + "/valid_v2.bin";
+  std::string pinned;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    pinned = ss.str();
   }
-  EXPECT_EQ(v1.totals.recorded, v2.totals.recorded);
-  EXPECT_EQ(chromeJsonFromBinaryTrace(v1), chromeJsonFromBinaryTrace(v2));
+  TraceSink sink;
+  sink.setProcessName(track::kStreams, "pfs streams");
+  sink.setThreadName(track::kStreams, 0, "stream 0");
+  std::string bytes;
+  {
+    BinaryTraceWriter writer(sink, &bytes);
+    sink.complete("pfs", "transfer.write", track::kStreams, 0, 0.5, 0.25,
+                  4096.0);
+    sink.complete("pfs", "transfer.read", track::kStreams, 0, 1.0, 0.5,
+                  8192.0);
+    sink.counter("tmio", "tmio.app.breq.write", track::kTmio, 1, 1.5, 1.0e9);
+    sink.flowStart("journey", "io", track::kAdio, 0, 0.5, 42);
+    sink.flowEnd("journey", "io", track::kStreams, 0, 0.75, 42);
+    ASSERT_TRUE(writer.close());
+  }
+  EXPECT_TRUE(bytes == pinned) << "writer output drifted from valid_v2.bin";
+
+  const BinaryTrace trace = readBinaryTrace(path);
+  ASSERT_EQ(trace.events.size(), 5u);
+  EXPECT_EQ(trace.strings,
+            (std::vector<std::string>{"pfs", "transfer.write",
+                                      "transfer.read", "tmio",
+                                      "tmio.app.breq.write", "journey",
+                                      "io"}));
+  const TraceEvent write = trace.event(0);
+  EXPECT_EQ(write.ts, 0.5);
+  EXPECT_EQ(write.dur, 0.25);
+  EXPECT_EQ(write.value, 4096.0);
+  EXPECT_EQ(write.pid, track::kStreams);
+  EXPECT_EQ(write.phase, Phase::Complete);
+  EXPECT_STREQ(write.name, "transfer.write");
+  const TraceEvent counter = trace.event(2);
+  EXPECT_EQ(counter.phase, Phase::Counter);
+  EXPECT_EQ(counter.tid, 1u);
+  EXPECT_EQ(counter.value, 1.0e9);
+  EXPECT_EQ(trace.events[3].phase, Phase::FlowStart);
+  EXPECT_EQ(trace.events[3].flow, 42u);
+  EXPECT_EQ(trace.events[4].phase, Phase::FlowEnd);
+  EXPECT_EQ(trace.events[4].ts, 0.75);
+  EXPECT_EQ(trace.totals.recorded, 5u);
+  EXPECT_EQ(trace.totals.dropped, 0u);
+  EXPECT_EQ(trace.thread_names.at({track::kStreams, 0}), "stream 0");
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Binlog v2 container tests: v1-config writers still produce readable v1
-// files (and v2 beats v1 on bytes/event), the footer index lets the
-// windowed reader skip chunks it proves irrelevant (counters assert the
-// skipping actually happened), shard-tagged recording through
-// ShardedBinaryWriter merges canonically including degenerate zero-event
-// shards, and the tail reader buffers a mid-chunk cut while still
-// snapshotting every complete chunk before it. The container bytes do not
-// depend on the ring size or drain cadence, and an inflated event count is
-// a typed error on every read path.
+// Binlog v2 container tests: the footer index lets the windowed reader
+// skip chunks it proves irrelevant (counters assert the skipping actually
+// happened), shard-tagged recording through ShardedBinaryWriter merges
+// canonically including degenerate zero-event shards, and the tail reader
+// buffers a mid-chunk cut while still snapshotting every complete chunk
+// before it. The container bytes do not depend on the ring size or drain
+// cadence; an inflated event count is a typed error on every read path,
+// an inflated chunk length ends in the documented kind per path, and a
+// version-1 recording is bad_version on every path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,11 +34,10 @@ void recordSpread(TraceSink& sink, double t0 = 0.0, int events = 200) {
   }
 }
 
-std::string writtenWith(std::uint32_t version, std::size_t flush_bytes) {
+std::string writtenWith(std::size_t flush_bytes) {
   TraceSink sink;
   std::string bytes;
   BinaryTraceWriterConfig config;
-  config.version = version;
   config.flush_bytes = flush_bytes;
   BinaryTraceWriter writer(sink, &bytes, config);
   recordSpread(sink);
@@ -46,33 +45,9 @@ std::string writtenWith(std::uint32_t version, std::size_t flush_bytes) {
   return bytes;
 }
 
-TEST(BinlogV2, V1ConfigStillWritesAReadableV1Container) {
-  const std::string v1 = writtenWith(kBinlogVersionV1, 1 << 20);
-  const std::string v2 = writtenWith(kBinlogVersion, 1 << 20);
-
-  const BinaryTrace t1 = decodeBinaryTrace(v1, "<v1>");
-  const BinaryTrace t2 = decodeBinaryTrace(v2, "<v2>");
-  EXPECT_EQ(t1.version, kBinlogVersionV1);
-  EXPECT_EQ(t2.version, kBinlogVersion);
-  EXPECT_TRUE(t1.index.empty());
-  EXPECT_FALSE(t2.index.empty());
-  ASSERT_EQ(t1.events.size(), 200u);
-  ASSERT_EQ(t2.events.size(), t1.events.size());
-  for (std::size_t i = 0; i < t1.events.size(); ++i) {
-    EXPECT_EQ(t1.events[i].ts, t2.events[i].ts) << i;
-    EXPECT_EQ(t1.events[i].value, t2.events[i].value) << i;
-    EXPECT_EQ(t1.strings[t1.events[i].name], t2.strings[t2.events[i].name])
-        << i;
-  }
-
-  // The delta encoding is the point: strictly fewer bytes per event than
-  // the fixed 64-byte v1 record.
-  EXPECT_LT(v2.size(), v1.size());
-}
-
 TEST(BinlogV2, WindowedReadDecodesOnlyIndexSelectedChunks) {
   // Tiny flush threshold -> many small, time-local event chunks.
-  const std::string bytes = writtenWith(kBinlogVersion, 256);
+  const std::string bytes = writtenWith(256);
   const BinaryTrace full = decodeBinaryTrace(bytes, "<full>");
   ASSERT_GT(full.stats.events_chunks_decoded, 4u);
 
@@ -83,7 +58,6 @@ TEST(BinlogV2, WindowedReadDecodesOnlyIndexSelectedChunks) {
 
   // The acceptance gate: the index was consulted and chunks outside the
   // window were never decoded -- their payload bytes stayed unread.
-  EXPECT_TRUE(part.stats.used_index);
   EXPECT_GT(part.stats.events_chunks_skipped, 0u);
   EXPECT_GT(part.stats.payload_bytes_skipped, 0u);
   EXPECT_EQ(part.stats.events_chunks_decoded +
@@ -110,22 +84,6 @@ TEST(BinlogV2, WindowedReadDecodesOnlyIndexSelectedChunks) {
   }
 }
 
-TEST(BinlogV2, WindowOnV1TraceFallsBackToFullDecode) {
-  const std::string bytes = writtenWith(kBinlogVersionV1, 256);
-  TraceWindow window;
-  window.from = 5.0;
-  window.to = 8.0;
-  const BinaryTrace part = decodeBinaryTraceWindow(bytes, "<v1win>", window);
-  EXPECT_FALSE(part.stats.used_index);
-  EXPECT_EQ(part.stats.events_chunks_skipped, 0u);
-  EXPECT_EQ(part.stats.payload_bytes_skipped, 0u);
-  ASSERT_GT(part.events.size(), 0u);
-  for (const BinEvent& e : part.events) {
-    EXPECT_GE(e.ts + e.dur, window.from);
-    EXPECT_LE(e.ts, window.to);
-  }
-}
-
 TEST(BinlogV2, ShardEntirelyOutsideTheWindowIsSkipped) {
   // Shard 0 lives around t=1s, shard 1 around t=100s. A [95, 105] window
   // must decode shard 1's chunks only.
@@ -144,7 +102,6 @@ TEST(BinlogV2, ShardEntirelyOutsideTheWindowIsSkipped) {
   window.to = 105.0;
   const BinaryTrace part = decodeBinaryTraceWindow(bytes, "<shardwin>",
                                                    window);
-  EXPECT_TRUE(part.stats.used_index);
   EXPECT_GT(part.stats.events_chunks_skipped, 0u);
   ASSERT_EQ(part.events.size(), 40u);
   for (const BinEvent& e : part.events) EXPECT_EQ(e.shard, 1u);
@@ -172,7 +129,7 @@ TEST(BinlogV2, ZeroEventShardContributesNothingButDecodesCleanly) {
 }
 
 TEST(BinlogV2, TailReaderBuffersAMidChunkCutAndSnapshotsThePrefix) {
-  const std::string bytes = writtenWith(kBinlogVersion, 256);
+  const std::string bytes = writtenWith(256);
   const BinaryTrace full = decodeBinaryTrace(bytes, "<full>");
   ASSERT_GT(full.index.size(), 4u);
 
@@ -268,6 +225,32 @@ TEST(BinlogV2, BytesDoNotDependOnRingCapacityOrDrainCadence) {
   }
 }
 
+std::string fileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Feed `bytes` to a tail reader in `slice`-byte reads.
+BinlogTailReader& feedAll(BinlogTailReader& reader, const std::string& bytes,
+                          std::size_t slice) {
+  for (std::size_t pos = 0; pos < bytes.size(); pos += slice) {
+    reader.feed(bytes.data() + pos, std::min(slice, bytes.size() - pos));
+  }
+  return reader;
+}
+
+/// The BinlogError `read` throws (a failure if it throws none).
+template <typename Read>
+BinlogError errorOf(const Read& read) {
+  try {
+    read();
+  } catch (const BinlogError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "defective trace decoded cleanly";
+  return BinlogError(BinlogErrorKind::Io, "not reached");
+}
+
 TEST(BinlogV2, InflatedEventCountIsMalformedOnEveryReadPath) {
   // An events chunk declaring 0xffffffff records (checksums intact) must
   // end in a typed error, never in an allocation sized by the count.
@@ -286,21 +269,81 @@ TEST(BinlogV2, InflatedEventCountIsMalformedOnEveryReadPath) {
   };
   expectMalformed([&] { readBinaryTrace(path); });
   expectMalformed([&] { readBinaryTraceWindow(path, TraceWindow{}); });
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  const std::string bytes = fileBytes(path);
   ASSERT_FALSE(bytes.empty());
   for (const std::size_t slice : {std::size_t{5}, bytes.size()}) {
     expectMalformed([&] {
       BinlogTailReader reader(path);
-      for (std::size_t pos = 0; pos < bytes.size(); pos += slice) {
-        reader.feed(bytes.data() + pos,
-                    std::min(slice, bytes.size() - pos));
-      }
+      feedAll(reader, bytes, slice);
     });
   }
+}
+
+TEST(BinlogV2, InflatedChunkLengthKindsFollowTheReadPathPrecedence) {
+  // traces/valid_v2.bin with its first chunk's u64 payload length (file
+  // offset 16, checksums untouched) inflated. Each read path meets the lie
+  // at a different check first (DESIGN.md §13): the whole-file reader runs
+  // out of bytes for the declared payload, the windowed reader finds the
+  // chunk contradicting its index entry, and the tail reader rejects a
+  // length that could never be satisfied -- but only above 2^62; below
+  // that it must wait for more bytes, as a live file may still deliver
+  // them (iobts_profile --follow then times out as truncated).
+  const std::string valid =
+      fileBytes(std::string(IOBTS_TRACE_DIR) + "/valid_v2.bin");
+  ASSERT_GT(valid.size(), 24u);
+  const auto inflated = [&](std::uint64_t len) {
+    std::string bytes = valid;
+    for (int i = 0; i < 8; ++i) {
+      bytes[16 + static_cast<std::size_t>(i)] =
+          static_cast<char>((len >> (8 * i)) & 0xff);
+    }
+    return bytes;
+  };
+  for (const std::uint64_t len :
+       {(std::uint64_t{1} << 63) - 256, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(len);
+    const std::string bytes = inflated(len);
+    EXPECT_EQ(errorOf([&] { decodeBinaryTrace(bytes, "<whole>"); }).kind(),
+              BinlogErrorKind::Truncated);
+    EXPECT_EQ(errorOf([&] {
+                decodeBinaryTraceWindow(bytes, "<window>", TraceWindow{});
+              }).kind(),
+              BinlogErrorKind::BadIndex);
+  }
+  const BinlogError absurd = errorOf([&] {
+    BinlogTailReader reader("<tail>");
+    feedAll(reader, inflated((std::uint64_t{1} << 63) - 256), 7);
+  });
+  EXPECT_EQ(absurd.kind(), BinlogErrorKind::Malformed);
+  EXPECT_NE(std::string(absurd.what()).find("absurd length"),
+            std::string::npos);
+  BinlogTailReader waiting("<tail>");
+  feedAll(waiting, inflated(std::uint64_t{1} << 40), 7);
+  EXPECT_FALSE(waiting.finished());
+  EXPECT_EQ(waiting.chunksConsumed(), 0u);
+  EXPECT_EQ(waiting.bufferedBytes(), valid.size() - 12);
+}
+
+TEST(BinlogV2, V1TraceIsBadVersionOnEveryReadPath) {
+  // A real format-version-1 recording (the former valid_v1.bin pin): no
+  // current writer produces version 1 and no reader accepts it.
+  const std::string path =
+      std::string(IOBTS_TRACE_DIR) + "/invalid/bad_version-v1.bin";
+  const std::string bytes = fileBytes(path);
+  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_EQ(bytes[8], 1);
+  const auto expectBadVersion = [](const BinlogError& e) {
+    EXPECT_EQ(e.kind(), BinlogErrorKind::BadVersion) << e.what();
+    EXPECT_NE(std::string(e.what()).find("version 1 "), std::string::npos)
+        << e.what();
+  };
+  expectBadVersion(errorOf([&] { readBinaryTrace(path); }));
+  expectBadVersion(
+      errorOf([&] { readBinaryTraceWindow(path, TraceWindow{}); }));
+  expectBadVersion(errorOf([&] {
+    BinlogTailReader reader(path);
+    feedAll(reader, bytes, 5);
+  }));
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // whose events bind to the spans of the layers the request crossed --
 // ADIO queue/subrequest/pacing spans, PFS transfer settles, retry
 // backoffs. The chain is validated both on raw TraceEvents and by walking
-// the exported Chrome-trace JSON the way Perfetto binds flows (innermost
-// enclosing slice on the event's track, inclusive bounds).
+// the Chrome-trace JSON converted from the recorded binlog the way
+// Perfetto binds flows (innermost enclosing slice on the event's track,
+// inclusive bounds).
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -16,9 +17,10 @@
 
 #include "fault/plan.hpp"
 #include "mpisim/world.hpp"
-#include "obs/export.hpp"
-#include "obs/trace.hpp"
+#include "obs/binlog.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
+#include "obs/trace.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
 #include "tmio/obs_bridge.hpp"
@@ -130,12 +132,18 @@ TEST(Journey, JourneyOfIsStableAndNonZero) {
 }
 
 TEST(Journey, ExportedChainSpansAdioPacerAndLinkSettle) {
-  // The acceptance-criteria walk: parse the exported JSON and check that at
-  // least one async write's flow chain starts in the ADIO queue span, steps
-  // through a paced window *and* a PFS transfer settle, and ends bound to
-  // the request span.
+  // The acceptance-criteria walk: record the run's retained events into a
+  // binlog, convert it to Chrome JSON, and check that at least one async
+  // write's flow chain starts in the ADIO queue span, steps through a paced
+  // window *and* a PFS transfer settle, and ends bound to the request span.
   PacedRun run;
-  const Json doc = Json::parse(obs::chromeTraceString(run.sink));
+  std::string bytes;
+  {
+    obs::BinaryTraceWriter writer(run.sink, &bytes);
+    ASSERT_TRUE(writer.close());
+  }
+  const obs::BinaryTrace trace = obs::decodeBinaryTrace(bytes, "<memory>");
+  const Json doc = Json::parse(obs::chromeJsonFromBinaryTrace(trace));
   const auto& events = doc.asObject().at("traceEvents").asArray();
 
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Span>> tracks;

@@ -11,7 +11,7 @@
 //
 // or compiles and runs a scenario DSL file (src/scenario) instead:
 //
-//   iobts_run --scenario FILE [--trace TRACE] [--trace-format json|bin]
+//   iobts_run --scenario FILE [--trace TRACE] [--trace-flush-bytes N]
 //             [--summary FILE] [--jsonl FILE] [--csv PREFIX] [--digest]
 //             [--checkpoint-dir DIR --checkpoint-every SECONDS]
 //
@@ -21,13 +21,15 @@
 //   iobts_run --resume CKPT [--digest] [--checkpoint-dir DIR
 //             --checkpoint-every SECONDS]
 //
-// --trace installs the observability sink for the whole run and writes a
-// Perfetto-loadable Chrome trace with per-request journey flows; inspect it
-// with tools/trace_summarize TRACE.json --journeys. With
-// --trace-format=bin the run streams a compact binary flight-recorder
-// trace instead (obs::BinaryTraceWriter off the sink's drain hook, so long
-// runs never overflow the ring); read it with tools/iobts_profile, or
-// convert it losslessly with iobts_profile --to-chrome.
+// --trace installs the observability sink for the whole run and streams a
+// compact binary flight-recorder trace (binlog, obs::BinaryTraceWriter off
+// the sink's drain hook, so long runs never overflow the ring) with
+// per-request journey flows. Read it with tools/iobts_profile
+// (--critical-path for the journeys), or convert it losslessly to a
+// Perfetto-loadable Chrome trace with iobts_profile --to-chrome.
+// --trace-flush-bytes sets the chunk seal size (1 to 1 GiB); small values
+// make the file grow in small chunks a live iobts_profile --follow can
+// tail.
 //
 // --summary writes the deterministic run-summary artifact (canonical
 // sections: scenario digest, per-phase B_req table, stall attribution,
@@ -36,8 +38,11 @@
 // --digest prints the canonical end-of-run digest; a straight run and a
 // checkpoint/kill/resume run of the same scenario print identical digests
 // (tools/run_crash_resume.sh is the harness asserting exactly that).
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -49,7 +54,6 @@
 
 #include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
-#include "obs/export.hpp"
 #include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "scenario/instance.hpp"
@@ -66,6 +70,10 @@
 using namespace iobts;
 
 namespace {
+
+/// Upper bound for --trace-flush-bytes: the writer sizes its chunk buffer
+/// from the value, so it must stay a sane allocation.
+constexpr std::size_t kMaxTraceFlushBytes = std::size_t{1} << 30;
 
 struct CliOptions {
   std::string workload = "hacc";
@@ -84,7 +92,6 @@ struct CliOptions {
   bool ftio = false;
   std::optional<std::string> scenario;
   std::optional<std::string> trace;
-  std::string trace_format = "json";
   std::size_t trace_flush_bytes = 0;  // 0 = writer default
   std::optional<std::string> summary;
   std::optional<std::string> checkpoint_dir;
@@ -101,14 +108,34 @@ struct CliOptions {
       "          [--loops N] [--particles N] [--write-bw 106GB]\n"
       "          [--read-bw 120GB] [--noise SIGMA] [--burst-buffer]\n"
       "          [--jsonl FILE] [--csv PREFIX] [--chart] [--ftio]\n"
-      "       %s --scenario FILE [--trace TRACE] [--trace-format json|bin]\n"
-      "          [--trace-flush-bytes N] [--summary FILE] [--jsonl FILE]\n"
+      "       %s --scenario FILE [--trace TRACE] [--trace-flush-bytes N]\n"
+      "          [--summary FILE] [--jsonl FILE]\n"
       "          [--csv PREFIX] [--digest]\n"
       "          [--checkpoint-dir DIR --checkpoint-every SECONDS]\n"
       "       %s --resume CKPT [--digest]\n"
       "          [--checkpoint-dir DIR --checkpoint-every SECONDS]\n",
       argv0, argv0, argv0);
   std::exit(2);
+}
+
+/// --trace-flush-bytes: a plain decimal in [1, kMaxTraceFlushBytes]; any
+/// other spelling (sign, garbage, overflow) is a usage error.
+std::size_t parseTraceFlushBytes(const char* text, const char* argv0) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v =
+      std::isdigit(static_cast<unsigned char>(text[0])) != 0
+          ? std::strtoull(text, &end, 10)
+          : 0;
+  if (end == nullptr || *end != '\0' || errno == ERANGE || v == 0 ||
+      v > kMaxTraceFlushBytes) {
+    std::fprintf(stderr,
+                 "--trace-flush-bytes must be a decimal byte count in "
+                 "[1, %zu], not '%s'\n",
+                 kMaxTraceFlushBytes, text);
+    usage(argv0);
+  }
+  return static_cast<std::size_t>(v);
 }
 
 CliOptions parse(int argc, char** argv) {
@@ -135,12 +162,8 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--ftio") opt.ftio = true;
     else if (arg == "--scenario") opt.scenario = next(i);
     else if (arg == "--trace") opt.trace = next(i);
-    else if (arg == "--trace-format") opt.trace_format = next(i);
     else if (arg == "--trace-flush-bytes") {
-      // Chunk seal threshold for the binary recorder. Small values seal
-      // many small chunks -- what a live `iobts_profile --follow` wants to
-      // see, since only sealed chunks are visible to the tail.
-      opt.trace_flush_bytes = static_cast<std::size_t>(std::atol(next(i)));
+      opt.trace_flush_bytes = parseTraceFlushBytes(next(i), argv[0]);
     }
     else if (arg == "--summary") opt.summary = next(i);
     else if (arg == "--checkpoint-dir") opt.checkpoint_dir = next(i);
@@ -154,11 +177,6 @@ CliOptions parse(int argc, char** argv) {
     }
   }
   if (opt.ranks <= 0) usage(argv[0]);
-  if (opt.trace_format != "json" && opt.trace_format != "bin") {
-    std::fprintf(stderr, "--trace-format must be json or bin, not '%s'\n",
-                 opt.trace_format.c_str());
-    usage(argv[0]);
-  }
   // --checkpoint-dir and --checkpoint-every only work as a pair: a dir
   // without a cadence has no capture schedule, a cadence without a dir has
   // nowhere to write. Reject here with usage instead of tripping an
@@ -172,10 +190,33 @@ CliOptions parse(int argc, char** argv) {
   return opt;
 }
 
+/// The --trace recording: a sink installed for the whole run and the
+/// binlog writer draining it. Inactive without --trace.
+struct TraceRecording {
+  std::unique_ptr<obs::TraceSink> sink;
+  std::unique_ptr<obs::ScopedTraceSink> install;
+  std::unique_ptr<obs::BinaryTraceWriter> writer;
+
+  /// Returns false (after a diagnostic) when the trace file cannot open.
+  bool open(const CliOptions& opt) {
+    if (!opt.trace) return true;
+    sink = std::make_unique<obs::TraceSink>();
+    install = std::make_unique<obs::ScopedTraceSink>(*sink);
+    obs::BinaryTraceWriterConfig config;
+    if (opt.trace_flush_bytes > 0) config.flush_bytes = opt.trace_flush_bytes;
+    writer = std::make_unique<obs::BinaryTraceWriter>(*sink, *opt.trace,
+                                                      config);
+    if (!writer->good()) {
+      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace->c_str());
+      return false;
+    }
+    return true;
+  }
+};
+
 /// Print the per-world paper metrics, shared by straight and resumed runs.
 int reportScenario(const CliOptions& opt, scenario::Instance& instance,
-                   obs::TraceSink* sink, obs::BinaryTraceWriter* binwriter,
-                   const std::string& scenario_text) {
+                   TraceRecording& trace, const std::string& scenario_text) {
   const std::string& name = instance.spec().name;
   std::printf("scenario=%s worlds=%zu elapsed=%.3f s\n", name.c_str(),
               instance.worldCount(), instance.elapsed());
@@ -211,34 +252,23 @@ int reportScenario(const CliOptions& opt, scenario::Instance& instance,
 
   if (opt.jsonl) instance.tracer(0).writeJsonl(*opt.jsonl);
   if (opt.csv) instance.tracer(0).writeCsv(*opt.csv);
-  if (opt.trace) {
+  if (trace.writer) {
     // Fold the application-level B_req series into the trace before it is
     // finalized, so the offline profiler's --breq table works on any trace
     // this driver writes.
     for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-      tmio::annotateAppRequired(instance.tracer(w), *sink);
+      tmio::annotateAppRequired(instance.tracer(w), *trace.sink);
     }
-    if (binwriter != nullptr) {
-      // Binary flight recorder: the writer drained the sink all along;
-      // close() appends the meta/footer chunks and the file checksum.
-      if (!binwriter->close()) {
-        std::fprintf(stderr, "cannot write trace to %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-      std::printf(
-          "trace: %llu events -> %s (binary; inspect with iobts_profile)\n",
-          static_cast<unsigned long long>(binwriter->events()),
-          opt.trace->c_str());
-    } else {
-      if (!obs::writeChromeTrace(*sink, *opt.trace)) {
-        std::fprintf(stderr, "cannot write trace to %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (trace_summarize --journeys)\n",
-                  sink->size(), opt.trace->c_str());
+    // The writer drained the sink all along; close() appends the
+    // meta/index/footer chunks and the file checksum.
+    if (!trace.writer->close()) {
+      std::fprintf(stderr, "cannot write trace to %s\n", opt.trace->c_str());
+      return 1;
     }
+    std::printf(
+        "trace: %llu events -> %s (binary; inspect with iobts_profile)\n",
+        static_cast<unsigned long long>(trace.writer->events()),
+        opt.trace->c_str());
   }
   if (opt.summary) {
     obs::SummaryOptions sopt;
@@ -274,26 +304,8 @@ void reportCheckpoints(const std::vector<ckpt::CheckpointRecord>& records) {
 int runScenario(const CliOptions& opt) {
   // Install the trace sink before any instrumented component exists so
   // setup-time track names land in the trace metadata.
-  std::unique_ptr<obs::TraceSink> sink;
-  std::unique_ptr<obs::ScopedTraceSink> install;
-  std::unique_ptr<obs::BinaryTraceWriter> binwriter;
-  if (opt.trace) {
-    sink = std::make_unique<obs::TraceSink>();
-    install = std::make_unique<obs::ScopedTraceSink>(*sink);
-    if (opt.trace_format == "bin") {
-      obs::BinaryTraceWriterConfig bin_cfg;
-      if (opt.trace_flush_bytes > 0) {
-        bin_cfg.flush_bytes = opt.trace_flush_bytes;
-      }
-      binwriter = std::make_unique<obs::BinaryTraceWriter>(*sink, *opt.trace,
-                                                           bin_cfg);
-      if (!binwriter->good()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-    }
-  }
+  TraceRecording trace;
+  if (!trace.open(opt)) return 1;
 
   sim::Simulation sim;
   scenario::ScenarioSpec spec;
@@ -331,31 +343,13 @@ int runScenario(const CliOptions& opt) {
                  e.what());
     return 3;
   }
-  return reportScenario(opt, instance, sink.get(), binwriter.get(), text);
+  return reportScenario(opt, instance, trace, text);
 }
 
 /// Restore from a checkpoint, resume to completion, print the same report.
 int runResume(const CliOptions& opt) {
-  std::unique_ptr<obs::TraceSink> sink;
-  std::unique_ptr<obs::ScopedTraceSink> install;
-  std::unique_ptr<obs::BinaryTraceWriter> binwriter;
-  if (opt.trace) {
-    sink = std::make_unique<obs::TraceSink>();
-    install = std::make_unique<obs::ScopedTraceSink>(*sink);
-    if (opt.trace_format == "bin") {
-      obs::BinaryTraceWriterConfig bin_cfg;
-      if (opt.trace_flush_bytes > 0) {
-        bin_cfg.flush_bytes = opt.trace_flush_bytes;
-      }
-      binwriter = std::make_unique<obs::BinaryTraceWriter>(*sink, *opt.trace,
-                                                           bin_cfg);
-      if (!binwriter->good()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-    }
-  }
+  TraceRecording trace;
+  if (!trace.open(opt)) return 1;
   try {
     const auto wall_start = std::chrono::steady_clock::now();
     ckpt::RestoredRun run = ckpt::restoreScenarioCheckpoint(*opt.resume);
@@ -384,8 +378,7 @@ int runResume(const CliOptions& opt) {
       run.sim().run();
     }
     run.instance().requireFinished();
-    return reportScenario(opt, run.instance(), sink.get(), binwriter.get(),
-                          text);
+    return reportScenario(opt, run.instance(), trace, text);
   } catch (const ckpt::CheckpointError& e) {
     std::fprintf(stderr, "checkpoint error (%s): %s\n", e.kindName(),
                  e.what());

@@ -4,8 +4,8 @@
 # decode of the finished file produces.
 #
 # The harness
-#   1. launches iobts_run in the background with the binary recorder and a
-#      small --trace-flush-bytes so the file grows in many small,
+#   1. launches iobts_run in the background with a trace and a small
+#      --trace-flush-bytes so the file grows in many small,
 #      independently-decodable chunks,
 #   2. immediately starts iobts_profile --follow on the growing file with
 #      sliced reads (so partial-chunk buffering is exercised even if the
@@ -31,8 +31,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 TRACE="$TMP/follow.trace.bin"
 
-"$RUN" --scenario "$SCENARIO" --trace "$TRACE" --trace-format bin \
-  --trace-flush-bytes 4096 >"$TMP/run.out" 2>&1 &
+"$RUN" --scenario "$SCENARIO" --trace "$TRACE" --trace-flush-bytes 4096 >"$TMP/run.out" 2>&1 &
 RUN_PID=$!
 
 # Tail the growing file. 4 KiB per poll keeps the reader behind the writer

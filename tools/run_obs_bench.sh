@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
 # Record the observability-plane overhead into BENCH_obs_overhead.json.
 #
-# Runs the BM_DispatchTracing{Off,On,Streamed,Binary} family plus
+# Runs the BM_DispatchTracing{Off,On,Binary,Sampled} family plus
 # BM_BinaryWriterDrain from bench/micro_hotpath (the identical event-dispatch
-# churn with no sink, with an installed TraceSink, with a TraceStreamer
-# draining that sink, and with the binary flight recorder draining it
-# instead) and merges the report via tools/bench_to_json. The items/s ratio
-# Off/On is the per-event cost of tracing; On/Streamed adds the
-# copy-out-and-deliver cost of streaming export, and Binary alongside
-# Streamed records that the binary sink undercuts the JSON streamer (the
-# flight recorder's contract). Benchmarks run as interleaved repetitions and
-# the medians are what get recorded, so the comparison holds on noisy
-# machines. micro_hotpath's built-in allocation assertions (which include
-# the traced kernel probe) run first and fail the recording outright on a
-# regression.
+# churn with no sink, with an installed TraceSink, with the binary flight
+# recorder draining that sink, and with sampled journey flows; plus the
+# writer's pure encode throughput and bytes/event) and merges the report
+# via tools/bench_to_json. The items/s ratio Off/On is the per-event cost
+# of tracing; On/Binary adds the cost of recording. Benchmarks run as
+# interleaved repetitions and the medians are what get recorded.
+# micro_hotpath's built-in allocation assertions (which include the traced
+# kernel probe) run first and fail the recording outright on a regression.
+#
+# These are micro numbers. The end-to-end cost of recording is perfbench's
+# obs.overhead_s on the hacc_recorded workload (perfbench/README.md).
 #
 # The label's entry names the host (CPU model, CPU count, compiler) the
 # numbers were taken on.

@@ -119,8 +119,7 @@ ulimit -s unlimited 2>/dev/null || true
 ./build-sanitize/tests/ckpt_test
 # The obs suite sweeps the traces/invalid/ corrupt-container corpus through
 # the strict binlog reader and round-trips writer output through the
-# profiler aggregates: byte-level bounds handling under ASan/UBSan,
-# including the x86 wide-encode path the flight recorder dispatches to.
+# profiler aggregates: byte-level bounds handling under ASan/UBSan.
 ./build-sanitize/tests/obs_test
 
 echo "== sanitize: hot-path allocation assertions =="
